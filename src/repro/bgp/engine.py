@@ -129,9 +129,10 @@ class BGPEngine:
         #: (solutions are pure in the origination once the topology is
         #: fixed); cleared with the analytic flag.
         self._delta_solutions: Dict[object, object] = {}
-        #: ASes whose forwarding next hop changed since the last
-        #: consume_fib_dirty().  None: unknown — rebuild everything.
-        self._fib_dirty: Optional[Set[int]] = None
+        #: asn -> prefixes whose forwarding next hop changed there since
+        #: the last consume_fib_dirty().  None: unknown — rebuild
+        #: everything.
+        self._fib_dirty: Optional[Dict[int, Set[Prefix]]] = None
         speaker_configs = speaker_configs or {}
         for asn in graph.ases():
             neighbor_rels = {
@@ -434,7 +435,7 @@ class BGPEngine:
             if old_nh != new_nh:
                 # Only a next-hop change alters the AS's FIB trie; a
                 # path-only change keeps its interval table valid.
-                self._fib_dirty.add(asn)
+                self._fib_dirty.setdefault(asn, set()).add(prefix)
         if self.obs is not None:
             self.obs.emit(
                 "bgp.decision-change", self.now, "bgp.engine",
@@ -534,15 +535,20 @@ class BGPEngine:
         self._analytic = None
         self._delta_solutions.clear()
 
-    def consume_fib_dirty(self) -> Optional[Set[int]]:
-        """ASes whose next hop changed since the last call (then reset).
+    def consume_fib_dirty(self) -> Optional[Dict[int, Set[Prefix]]]:
+        """Per AS, the prefixes whose next hop changed since the last
+        call (then reset).
 
-        Returns None when the engine cannot bound the change set (cold
-        start, or state installed wholesale by :meth:`warm_start`) — the
-        caller must rebuild every FIB, after which tracking restarts.
+        A prefix is listed even when its next hop later flipped back
+        within the window; :func:`~repro.dataplane.fib.build_fibs`
+        compares against the previous FIB, patches only the entries that
+        really differ and keeps a flipped-back AS's trie.  Returns None
+        when the engine cannot bound the change set (cold start, or
+        state installed wholesale by :meth:`warm_start`) — the caller
+        must rebuild every FIB, after which tracking restarts.
         """
         dirty = self._fib_dirty
-        self._fib_dirty = set()
+        self._fib_dirty = {}
         return dirty
 
     def apply_delta(self, changes, stats=None):

@@ -371,11 +371,12 @@ class Lifeguard:
     def refresh_dataplane(self) -> None:
         """Re-snapshot FIBs after any control-plane change.
 
-        Incremental: only ASes whose forwarding next hop changed since
-        the last refresh are rebuilt (the engine tracks them); clean
-        ASes share their tries with the previous snapshot, which also
-        lets :class:`~repro.traffic.lpm.FlatFibSet` keep their compiled
-        interval tables.
+        Incremental and per entry: only the (AS, prefix) entries whose
+        forwarding next hop changed since the last refresh are patched
+        (the engine tracks them); clean ASes share their tries with the
+        previous snapshot, which also lets
+        :class:`~repro.traffic.lpm.FlatFibSet` keep their compiled
+        interval tables and splice the patched ones.
         """
         self.dataplane.fibs = build_fibs(
             self.engine,

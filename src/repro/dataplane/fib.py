@@ -9,7 +9,7 @@ selection at forwarding time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.bgp.engine import BGPEngine
 from repro.net.addr import Address, Prefix
@@ -31,6 +31,12 @@ class FibSnapshot:
     tables: Dict[int, PrefixTrie] = field(default_factory=dict)
     #: prefix -> originating asn, for host-attachment decisions.
     origins: Dict[Prefix, int] = field(default_factory=dict)
+    #: asn -> (the previous snapshot's trie this AS's trie was
+    #: :meth:`~repro.net.trie.PrefixTrie.patched` from, the prefixes the
+    #: patch changed); lets FlatFibSet splice instead of recompiling.
+    lineage: Dict[int, Tuple[PrefixTrie, Tuple[Prefix, ...]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: Lazily built LPM index over ``origins`` (origin_for is per-probe).
     _origin_trie: Optional[PrefixTrie] = field(
         default=None, repr=False, compare=False
@@ -88,10 +94,19 @@ def _build_as_fib(
     return trie
 
 
+def _fib_hop(asn: int, speaker, prefix: Prefix) -> Optional[int]:
+    """The FIB value of *prefix* at *asn* per its Loc-RIB (None: no
+    route)."""
+    route = speaker.best(prefix)
+    if route is None:
+        return None
+    return LOCAL if route.neighbor == asn else route.neighbor
+
+
 def build_fibs(
     engine: BGPEngine,
     previous: Optional[FibSnapshot] = None,
-    dirty_asns: Optional[Set[int]] = None,
+    dirty_asns: Optional[Dict[int, Set[Prefix]]] = None,
 ) -> FibSnapshot:
     """Snapshot every speaker's Loc-RIB into forwarding tables.
 
@@ -101,31 +116,52 @@ def build_fibs(
     prefix, their packets still leave toward the provider — the measured
     behavior that makes "unreachable" stubs keep delivering traffic.
 
-    With *previous* and *dirty_asns* (from
-    :meth:`BGPEngine.consume_fib_dirty`), only the dirty ASes' tries are
-    rebuilt; every other AS *shares its trie object* with the previous
-    snapshot, so downstream per-trie caches (the flat interval tables in
-    :class:`~repro.traffic.lpm.FlatFibSet`) stay valid by identity.
-    ``dirty_asns=None`` means the change set is unbounded — full rebuild.
+    With *previous* (a snapshot of the same engine) and *dirty_asns*
+    (asn -> prefixes whose next hop changed, from
+    :meth:`BGPEngine.consume_fib_dirty`), the refresh is per entry and
+    reads only the dirty prefixes' Loc-RIB next hops:
+
+    - an AS whose hops all flipped back keeps its previous trie object;
+    - any other dirty AS gets ``previous_trie.patched(updates)``, a path
+      copy sharing every untouched subtree, recorded in the snapshot's
+      ``lineage`` so :class:`~repro.traffic.lpm.FlatFibSet` can splice
+      its compiled table instead of recompiling it;
+    - clean ASes *share their trie object* with the previous snapshot.
+
+    Tries are shared across snapshots, so every snapshot must be treated
+    as frozen once this returns.  ``origins`` is updated per changed
+    prefix and always equals a full rebuild's (the last originating
+    speaker in ``engine.speakers`` order).  ``dirty_asns=None`` means
+    the change set is unbounded — full rebuild.
     """
     if previous is not None and dirty_asns is not None:
         if not dirty_asns:
             return previous
-        snapshot = FibSnapshot(tables=dict(previous.tables))
-        # Keep clean ASes' origin claims; dirty ASes re-assert theirs.
-        snapshot.origins = {
-            prefix: asn
-            for prefix, asn in previous.origins.items()
-            if asn not in dirty_asns
-        }
+        snapshot = FibSnapshot(
+            tables=dict(previous.tables), origins=dict(previous.origins)
+        )
+        # A claim can only change where an AS gained or lost a local
+        # route, and a lost claim was in previous.origins.
+        reclaim: Set[Prefix] = set()
         for asn in sorted(dirty_asns):
-            speaker = engine.speakers.get(asn)
-            if speaker is None:
-                snapshot.tables.pop(asn, None)
-                continue
-            snapshot.tables[asn] = _build_as_fib(
-                asn, speaker, snapshot.origins
-            )
+            speaker = engine.speakers[asn]
+            old = previous.tables[asn]
+            updates: Dict[Prefix, Optional[int]] = {}
+            for prefix in dirty_asns[asn]:
+                hop = _fib_hop(asn, speaker, prefix)
+                if hop == LOCAL or prefix in previous.origins:
+                    reclaim.add(prefix)
+                if old.exact(prefix) != hop:
+                    updates[prefix] = hop
+            if updates:
+                snapshot.tables[asn] = old.patched(updates)
+                snapshot.lineage[asn] = (old, tuple(updates))
+        for prefix in reclaim:
+            snapshot.origins.pop(prefix, None)
+            for asn, speaker in reversed(engine.speakers.items()):
+                if _fib_hop(asn, speaker, prefix) == LOCAL:
+                    snapshot.origins[prefix] = asn
+                    break
         return snapshot
     snapshot = FibSnapshot()
     for asn, speaker in engine.speakers.items():

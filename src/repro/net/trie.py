@@ -7,7 +7,9 @@ production prefix is poisoned away.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import (
+    Dict, Generic, Iterator, List, Mapping, Optional, Tuple, TypeVar, Union,
+)
 
 from repro.net.addr import Address, Prefix
 
@@ -21,6 +23,25 @@ class _Node(Generic[V]):
         self.children: List[Optional["_Node[V]"]] = [None, None]
         self.value: Optional[V] = None
         self.has_value = False
+
+    def copy(self) -> "_Node[V]":
+        twin: _Node[V] = _Node()
+        twin.children = self.children[:]
+        twin.value = self.value
+        twin.has_value = self.has_value
+        return twin
+
+
+def _prune(path: List[Tuple[_Node, int]]) -> None:
+    """Unlink the now-empty nodes at the bottom of *path* (parent, bit)."""
+    for parent, bit in reversed(path):
+        child = parent.children[bit]
+        if child is not None and not child.has_value and not any(
+            child.children
+        ):
+            parent.children[bit] = None
+        else:
+            break
 
 
 class PrefixTrie(Generic[V]):
@@ -75,14 +96,53 @@ class PrefixTrie(Generic[V]):
         node.value = None
         self._size -= 1
         # Prune now-empty branches so long-lived tries don't leak nodes.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            if child is not None and not child.has_value and not any(
-                child.children
-            ):
-                parent.children[bit] = None
+        _prune(path)
+
+    def patched(
+        self, updates: Mapping[Prefix, Optional[V]]
+    ) -> "PrefixTrie[V]":
+        """A new trie equal to this one with *updates* applied.
+
+        Each update sets a prefix's value, or removes the prefix when the
+        value is None (removing an absent prefix is a no-op).  Path
+        copying: only the nodes on the updated prefixes' paths are
+        copied and every untouched subtree is shared, so this trie is
+        left unchanged.  Because of that sharing both tries must be
+        treated as frozen: an in-place ``insert``/``remove`` on either
+        would show through the other.
+        """
+        root = self._root.copy()
+        # Nodes copied or created by this patch, safe to write.
+        fresh = {id(root)}
+        size = self._size
+        for prefix, value in updates.items():
+            path: List[Tuple[_Node[V], int]] = []
+            node = root
+            for bit in self._bits(prefix):
+                child = node.children[bit]
+                if child is None and value is None:
+                    break
+                if child is None or id(child) not in fresh:
+                    child = _Node() if child is None else child.copy()
+                    fresh.add(id(child))
+                    node.children[bit] = child
+                path.append((node, bit))
+                node = child
             else:
-                break
+                if value is not None:
+                    if not node.has_value:
+                        size += 1
+                    node.value = value
+                    node.has_value = True
+                elif node.has_value:
+                    node.value = None
+                    node.has_value = False
+                    size -= 1
+                    _prune(path)
+        trie: PrefixTrie[V] = PrefixTrie()
+        trie._root = root
+        trie._size = size
+        return trie
 
     def exact(self, prefix: Prefix) -> Optional[V]:
         """The value stored exactly at *prefix*, or None."""
@@ -161,20 +221,32 @@ class PrefixTrie(Generic[V]):
                 )  # type: ignore[arg-type]
         return out
 
+    @staticmethod
+    def _walk(
+        node: _Node[V], base: int, depth: int
+    ) -> Iterator[Tuple[Prefix, V]]:
+        if node.has_value:
+            yield Prefix(base, depth), node.value  # type: ignore[misc]
+        for bit in (0, 1):
+            child = node.children[bit]
+            if child is not None:
+                yield from PrefixTrie._walk(
+                    child, base | (bit << (31 - depth)), depth + 1
+                )
+
     def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate all (prefix, value) pairs in trie order."""
+        """Iterate all (prefix, value) pairs in trie order, which is
+        (base, length) order."""
+        yield from self._walk(self._root, 0, 0)
 
-        def walk(node: _Node[V], base: int, depth: int):
-            if node.has_value:
-                yield Prefix(base, depth), node.value
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    yield from walk(
-                        child, base | (bit << (31 - depth)), depth + 1
-                    )
-
-        yield from walk(self._root, 0, 0)
+    def items_within(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
+        """The entries at or inside *prefix*, in trie order."""
+        node: Optional[_Node[V]] = self._root
+        for bit in self._bits(prefix):
+            node = node.children[bit]  # type: ignore[union-attr]
+            if node is None:
+                return
+        yield from self._walk(node, prefix.base, prefix.length)
 
     def keys(self) -> List[Prefix]:
         """All stored prefixes."""

@@ -82,3 +82,54 @@ class TestTraversal:
     def test_contains(self, trie):
         assert Prefix("10.1.0.0/16") in trie
         assert Prefix("10.2.0.0/16") not in trie
+
+    def test_items_within(self, trie):
+        assert [p for p, _ in trie.items_within(Prefix("10.1.0.0/16"))] == [
+            Prefix("10.1.0.0/16"),
+            Prefix("10.1.2.0/24"),
+        ]
+        assert list(trie.items_within(Prefix("10.1.2.0/25"))) == []
+        assert list(trie.items_within(Prefix("10.2.0.0/16"))) == []
+        assert list(trie.items_within(Prefix(0, 0))) == list(trie.items())
+
+
+class TestPatched:
+    """Path-copying updates; the property sweep over random nested
+    tries and update sequences is in tests/test_traffic_lpm.py."""
+
+    def test_sets_changes_and_removes(self, trie):
+        patched = trie.patched(
+            {
+                Prefix("10.1.2.0/24"): None,
+                Prefix("10.0.0.0/8"): "EIGHT",
+                Prefix("10.1.2.128/25"): "twentyfive",
+                Prefix("10.9.0.0/16"): None,  # absent: a no-op
+            }
+        )
+        assert dict(patched.items()) == {
+            Prefix("10.0.0.0/8"): "EIGHT",
+            Prefix("10.1.0.0/16"): "sixteen",
+            Prefix("10.1.2.128/25"): "twentyfive",
+        }
+        assert len(patched) == 3
+        assert patched.lookup_value("10.1.2.3") == "sixteen"
+        assert patched.lookup_value("10.1.2.200") == "twentyfive"
+
+    def test_removals_prune_empty_branches(self, trie):
+        emptied = trie.patched({prefix: None for prefix in trie.keys()})
+        assert len(emptied) == 0
+        assert emptied._root.children == [None, None]
+
+    def test_source_unchanged(self, trie):
+        before = list(trie.items())
+        trie.patched({Prefix("10.1.0.0/16"): None, Prefix(0, 0): "dflt"})
+        assert list(trie.items()) == before
+        assert len(trie) == 3
+        assert trie.lookup_value("1.2.3.4") is None
+
+    def test_untouched_subtrees_are_shared(self, trie):
+        trie[Prefix("192.168.0.0/16")] = "other"
+        patched = trie.patched({Prefix("10.1.2.0/24"): "new"})
+        # 192/16 hangs off the root's 1-child, 10/8 off its 0-child.
+        assert patched._root.children[1] is trie._root.children[1]
+        assert patched._root.children[0] is not trie._root.children[0]

@@ -10,6 +10,13 @@ default-route entry that ``default_route_via_provider`` stubs install,
 which exercises the table's outermost interval at both address-space
 ends.  The ``origin_for`` tests cover the satellite fix replacing the
 per-probe linear scan over ``FibSnapshot.origins`` with a cached trie.
+
+The patch path is held to the same contract: a path-copied trie equals
+a fresh build and leaves its source unchanged, a spliced table equals
+``compile`` of the new trie interval for interval (tables are
+canonical: no two adjacent values are equal), and an incremental
+``build_fibs`` equals a full one after every repair step, ``origins``
+included.
 """
 
 import random
@@ -18,10 +25,12 @@ import pytest
 
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import make_path
+from repro.bgp.origin import OriginController
 from repro.bgp.policy import SpeakerConfig
 from repro.dataplane.fib import DEFAULT_PREFIX, LOCAL, build_fibs
 from repro.net.addr import Prefix
 from repro.net.trie import PrefixTrie
+from repro.runner.baseline import converged_internet
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.traffic.lpm import FlatFibSet, FlatLPM
@@ -42,6 +51,53 @@ def _random_trie(rng, entries):
         base = rng.getrandbits(32) & _mask(length)
         trie[Prefix(base, length)] = rng.randint(-1, 500)
     return trie
+
+
+def _nested_prefix(rng, existing):
+    """A random prefix, usually nested inside (or equal to) one of
+    *existing*, sometimes the /0."""
+    roll = rng.random()
+    if roll < 0.05:
+        return Prefix(0, 0)
+    if existing and roll < 0.75:
+        parent = rng.choice(existing)
+        length = rng.randint(parent.length, min(32, parent.length + 6))
+        extra = rng.getrandbits(32) & _mask(length) & ~_mask(parent.length)
+        return Prefix(parent.base | extra, length)
+    length = rng.randint(1, 24)
+    return Prefix(rng.getrandbits(32) & _mask(length), length)
+
+
+def _hop(rng):
+    # A small value palette (LOCAL included) makes equal neighbours,
+    # the case canonical merging handles, common.
+    return rng.choice([LOCAL, 1, 2, 3])
+
+
+def _nested_trie(rng, entries):
+    trie = PrefixTrie()
+    prefixes = []
+    for _ in range(entries):
+        prefix = _nested_prefix(rng, prefixes)
+        prefixes.append(prefix)
+        trie[prefix] = _hop(rng)
+    return trie
+
+
+def _random_updates(rng, trie, count):
+    """Adds, value changes and removals (some of absent prefixes)."""
+    present = [p for p, _v in trie.items()]
+    updates = {}
+    for _ in range(count):
+        roll = rng.random()
+        if present and roll < 0.35:
+            updates[rng.choice(present)] = None
+        elif present and roll < 0.7:
+            updates[rng.choice(present)] = _hop(rng)
+        else:
+            prefix = _nested_prefix(rng, present)
+            updates[prefix] = None if roll > 0.95 else _hop(rng)
+    return updates
 
 
 def _boundary_addresses(trie):
@@ -86,6 +142,24 @@ class TestFlatLPMFuzz:
         assert flat.resolve(0) is None
         assert flat.resolve(_SPACE - 1) is None
         assert len(flat) == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_compiled_table_is_canonical(self, seed):
+        rng = random.Random(seed)
+        trie = _nested_trie(rng, entries=rng.randint(1, 60))
+        values = [v for _b, v in FlatLPM.compile(trie).intervals()]
+        assert all(a != b for a, b in zip(values, values[1:]))
+
+    def test_adjacent_equal_siblings_merge(self):
+        # Both /9 halves of 10/8 forward like each other: one interval.
+        trie = PrefixTrie()
+        trie[Prefix("0.0.0.0/0")] = 1
+        trie[Prefix("10.0.0.0/9")] = 2
+        trie[Prefix("10.128.0.0/9")] = 2
+        start = Prefix("10.0.0.0/8").base
+        assert FlatLPM.compile(trie).intervals() == [
+            (0, 1), (start, 2), (start + (1 << 24), 1),
+        ]
 
     def test_intervals_cover_the_space_in_order(self):
         rng = random.Random(5)
@@ -178,23 +252,86 @@ class TestFlatFibSet:
             )
 
 
+class TestPatchPath:
+    """Path-copied tries and spliced flat tables, fuzzed: random nested
+    tries (with the /0 and LOCAL) under random update sequences."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_patch_sequence_matches_fresh_builds(self, seed):
+        rng = random.Random(seed)
+        trie = _nested_trie(rng, entries=rng.randint(0, 50))
+        flat = FlatLPM.compile(trie)
+        for _step in range(6):
+            before = list(trie.items())
+            updates = _random_updates(rng, trie, rng.randint(1, 6))
+            expected = dict(before)
+            for prefix, value in updates.items():
+                if value is None:
+                    expected.pop(prefix, None)
+                else:
+                    expected[prefix] = value
+            fresh = PrefixTrie()
+            for prefix, value in expected.items():
+                fresh[prefix] = value
+            patched = trie.patched(updates)
+            assert list(patched.items()) == list(fresh.items())
+            assert len(patched) == len(fresh)
+            # Persistence: the source trie still holds what it held.
+            assert list(trie.items()) == before
+            assert len(trie) == len(before)
+            flat = flat.spliced(patched, updates)
+            assert flat.intervals() == FlatLPM.compile(fresh).intervals()
+            assert len(flat) == len(fresh)
+            addrs = _boundary_addresses(fresh)
+            assert flat.resolve_many(addrs) == [
+                fresh.lookup_value(a) for a in addrs
+            ]
+            trie = patched
+
+    def test_splice_leaves_the_source_table_alone(self):
+        rng = random.Random(3)
+        trie = _nested_trie(rng, entries=40)
+        flat = FlatLPM.compile(trie)
+        before = flat.intervals()
+        updates = _random_updates(rng, trie, 5)
+        flat.spliced(trie.patched(updates), updates)
+        assert flat.intervals() == before
+
+
+def _snapshot_entries(fibs):
+    return {asn: list(trie.items()) for asn, trie in fibs.tables.items()}
+
+
+def _assert_equals_full_build(engine, incremental):
+    full = build_fibs(engine)
+    assert _snapshot_entries(incremental) == _snapshot_entries(full)
+    assert incremental.origins == full.origins
+
+
+def _three_as_graph():
+    # O(1) and the stub 3 both buy transit from 2.
+    g = ASGraph()
+    g.add_as(1, tier=3)
+    g.add_as(2, tier=2)
+    g.add_as(3, tier=3)
+    g.assign_prefix(1, P)
+    g.assign_prefix(2, Prefix("10.102.0.0/16"))
+    g.assign_prefix(3, Prefix("10.103.0.0/16"))
+    g.add_link(1, 2, Relationship.PROVIDER)
+    g.add_link(3, 2, Relationship.PROVIDER)
+    return g
+
+
 class TestIncrementalFibReuse:
-    """The dirty-AS invalidation fix: an incremental ``build_fibs``
-    shares clean ASes' trie objects with the previous snapshot, so
-    ``attach`` keeps their compiled tables (identity-keyed) and
-    ``invalidations`` counts exactly the dirty cone."""
+    """Entry-granular refresh: an incremental ``build_fibs`` patches only
+    the changed (AS, prefix) entries, shares clean ASes' trie objects
+    with the previous snapshot, and ``attach`` splices the patched ASes'
+    compiled tables (``patches``) instead of dropping them
+    (``invalidations``)."""
 
     @staticmethod
     def _engine():
-        g = ASGraph()
-        g.add_as(1, tier=3)
-        g.add_as(2, tier=2)
-        g.add_as(3, tier=3)
-        g.assign_prefix(1, P)
-        g.assign_prefix(2, Prefix("10.102.0.0/16"))
-        g.assign_prefix(3, Prefix("10.103.0.0/16"))
-        g.add_link(1, 2, Relationship.PROVIDER)
-        g.add_link(3, 2, Relationship.PROVIDER)
+        g = _three_as_graph()
         engine = BGPEngine(g)
         for node in g.nodes():
             for prefix in node.prefixes:
@@ -202,38 +339,95 @@ class TestIncrementalFibReuse:
         engine.run()
         return engine
 
+    @staticmethod
+    def _poison_3(engine):
+        # Poisoning AS3 evicts its route for P (a next-hop change at 3);
+        # AS2 keeps next hop 1, so its trie must survive untouched.
+        engine.originate(1, P, path=make_path(1, prepend=2, poison=[3]))
+        engine.run()
+
+    @staticmethod
+    def _unpoison(engine):
+        engine.originate(1, P)
+        engine.run()
+
+    def _compiled(self, fibs):
+        fibset = FlatFibSet(fibs)
+        tables = {asn: fibset.table(asn) for asn in fibs.tables}
+        return fibset, tables
+
     def test_incremental_attach_keeps_clean_tables(self):
         engine = self._engine()
+        engine.consume_fib_dirty()
         first = build_fibs(engine)
-        fibset = FlatFibSet(first)
-        tables = {asn: fibset.table(asn) for asn in first.tables}
-        second = build_fibs(engine, first, dirty_asns={3})
+        fibset, tables = self._compiled(first)
+        self._poison_3(engine)
+        dirty = engine.consume_fib_dirty()
+        assert dirty == {3: {P}}
+        second = build_fibs(engine, first, dirty_asns=dirty)
+        _assert_equals_full_build(engine, second)
         assert second.tables[1] is first.tables[1]
         assert second.tables[2] is first.tables[2]
         assert second.tables[3] is not first.tables[3]
+        assert second.tables[3].exact(P) is None
+        assert first.tables[3].exact(P) == 2  # the old snapshot is frozen
         fibset.attach(second)
-        assert fibset.invalidations == 1
+        assert fibset.invalidations == 0
+        assert fibset.patches == 1
         assert fibset.table(1) is tables[1]
         assert fibset.table(2) is tables[2]
         assert fibset.table(3) is not tables[3]
+        assert fibset.table(3).intervals() == FlatLPM.compile(
+            second.tables[3]
+        ).intervals()
+
+    def test_flipped_back_as_keeps_its_trie(self):
+        engine = self._engine()
+        engine.consume_fib_dirty()
+        first = build_fibs(engine)
+        fibset, tables = self._compiled(first)
+        self._poison_3(engine)
+        self._unpoison(engine)
+        dirty = engine.consume_fib_dirty()
+        assert P in dirty[3]  # changed twice inside the window
+        second = build_fibs(engine, first, dirty_asns=dirty)
+        _assert_equals_full_build(engine, second)
+        for asn in first.tables:
+            assert second.tables[asn] is first.tables[asn]
+        fibset.attach(second)
+        assert fibset.invalidations == 0
+        assert fibset.patches == 0
+        assert fibset.table(3) is tables[3]
+
+    def test_broken_lineage_recompiles(self):
+        engine = self._engine()
+        engine.consume_fib_dirty()
+        first = build_fibs(engine)
+        fibset, tables = self._compiled(first)
+        self._poison_3(engine)
+        second = build_fibs(engine, first, engine.consume_fib_dirty())
+        self._unpoison(engine)
+        third = build_fibs(engine, second, engine.consume_fib_dirty())
+        _assert_equals_full_build(engine, third)
+        # third's AS3 trie was patched from second's, which this set
+        # never saw: its table is dropped and compiled afresh.
+        fibset.attach(third)
+        assert fibset.invalidations == 1
+        assert fibset.patches == 0
+        assert fibset.table(3).intervals() == tables[3].intervals()
 
     def test_empty_dirty_set_returns_previous_snapshot(self):
         engine = self._engine()
         first = build_fibs(engine)
-        assert build_fibs(engine, first, dirty_asns=set()) is first
+        assert build_fibs(engine, first, dirty_asns={}) is first
 
     def test_tracked_dirty_cone_matches_full_rebuild(self):
         engine = self._engine()
         # Cold start: the change set is unbounded until first consumed.
         assert engine.consume_fib_dirty() is None
         first = build_fibs(engine)
-        fibset = FlatFibSet(first)
-        for asn in first.tables:
-            fibset.table(asn)
-        # Poisoning AS3 evicts its route for P (a next-hop change at 3);
-        # AS2 keeps next hop 1, so its trie must survive untouched.
-        engine.originate(1, P, path=make_path(1, prepend=2, poison=[3]))
-        engine.run()
+        fibset, _tables = self._compiled(first)
+        self._poison_3(engine)
         dirty = engine.consume_fib_dirty()
         assert dirty is not None and 3 in dirty
         assert 2 not in dirty
@@ -247,10 +441,76 @@ class TestIncrementalFibReuse:
             ).resolve_many(addrs) == [
                 trie.lookup_value(a) for a in addrs
             ], f"incremental FIB differs at AS{asn}"
-        for asn in set(first.tables) - dirty:
+        for asn in set(first.tables) - set(dirty):
             assert incremental.tables[asn] is first.tables[asn]
         fibset.attach(incremental)
-        assert fibset.invalidations == len(dirty & set(first.tables))
+        assert fibset.invalidations == 0
+        assert fibset.patches == len(incremental.lineage) == len(dirty)
+
+
+class TestIncrementalOrigins:
+    def test_moas_withdrawal_keeps_the_remaining_claim(self):
+        # AS1 and AS3 both originate P; AS3 (the later speaker) holds
+        # the claim until it withdraws, then AS1's must remain.
+        engine = BGPEngine(_three_as_graph())
+        engine.originate(1, P)
+        engine.originate(3, P)
+        engine.run()
+        engine.consume_fib_dirty()
+        first = build_fibs(engine)
+        assert first.origins == {P: 3}
+        engine.withdraw_origin(3, P)
+        engine.run()
+        incremental = build_fibs(engine, first, engine.consume_fib_dirty())
+        _assert_equals_full_build(engine, incremental)
+        assert incremental.origins == {P: 1}
+        assert incremental.origin_for(P.address(5)) == 1
+        assert first.origins == {P: 3}
+
+    def test_repair_ladder_matches_full_builds(self):
+        """poison -> multi-poison -> unpoison on a small converged
+        Internet: after every step the incremental snapshot equals a
+        full build entry for entry, and every compiled table is spliced
+        to what compile gives."""
+        base = converged_internet("small", 3, origin_providers=2)
+        graph, engine = base.graph, base.engine
+        prefix = graph.node(base.origin_asn).prefixes[0]
+        controller = OriginController(engine, base.origin_asn, prefix)
+        fibs = build_fibs(engine)
+        engine.consume_fib_dirty()
+        controller.announce_baseline()
+        engine.run()
+        fibs = build_fibs(engine, fibs, engine.consume_fib_dirty())
+        fibset = FlatFibSet(fibs)
+        for asn in fibs.tables:
+            fibset.table(asn)
+        providers = set(controller.providers)
+        targets = [
+            asn
+            for asn in sorted(
+                graph.transit_ases(), key=lambda a: (-graph.degree(a), a)
+            )
+            if asn != base.origin_asn and asn not in providers
+        ][:2]
+        steps = (
+            lambda: controller.poison(targets[:1], key="r"),
+            lambda: controller.poison(targets, key="r"),
+            lambda: controller.unpoison("r"),
+        )
+        for step in steps:
+            step()
+            engine.run()
+            dirty = engine.consume_fib_dirty()
+            assert dirty
+            fibs = build_fibs(engine, fibs, dirty)
+            _assert_equals_full_build(engine, fibs)
+            fibset.attach(fibs)
+            for asn, trie in fibs.tables.items():
+                assert fibset.table(asn).intervals() == FlatLPM.compile(
+                    trie
+                ).intervals(), f"AS{asn}"
+        assert fibset.invalidations == 0
+        assert fibset.patches > 0
 
 
 class TestOriginForIndex:
