@@ -21,7 +21,8 @@ Protocol (mirrors the solver's poison-equivalence tests):
    :class:`~repro.faults.injector.FaultInjector` instances, so drops
    and duplicates hit the same transmissions on both sides.
 5. Diff — :func:`~repro.fuzz.diff.capture_state` of both engines,
-   compared byte-for-byte on the canonical JSON blob.
+   compared exactly on their canonical (key-sorted) int-keyed rows;
+   JSON is rendered only for the differing rows a divergence reports.
 
 When the case carries no message faults, a **third arm** replays the
 action script through :mod:`repro.bgp.delta` on another warm-started
@@ -51,7 +52,12 @@ from repro.bgp.solver import solve, solver_unsupported_reason
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.diff import canonical_blob, capture_state, diff_states
+from repro.fuzz.diff import (
+    canonical_blob,
+    capture_state,
+    diff_states,
+    differing_keys,
+)
 from repro.net.addr import Prefix
 from repro.runner.core import derive_seed
 
@@ -174,14 +180,11 @@ def run_case(
                 return arm
             result.delta_arm = arm
         return result
-    diff = diff_states(solver_state, event_state, limit=diff_limit)
-    total = sum(
-        1
-        for key in set(solver_state) | set(event_state)
-        if solver_state.get(key) != event_state.get(key)
-        or (key in solver_state) != (key in event_state)
+    return CaseResult(
+        VERDICT_DIVERGENCE,
+        diff=diff_states(solver_state, event_state, limit=diff_limit),
+        diff_count=len(differing_keys(solver_state, event_state)),
     )
-    return CaseResult(VERDICT_DIVERGENCE, diff=diff, diff_count=total)
 
 
 def _delta_arm(
@@ -226,18 +229,11 @@ def _delta_arm(
         stats.count("fuzz.delta_arm_runs")
     if canonical_blob(delta_state) == canonical_blob(event_state):
         return "equal"
-    diff = diff_states(delta_state, event_state, limit=diff_limit)
-    total = sum(
-        1
-        for key in set(delta_state) | set(event_state)
-        if delta_state.get(key) != event_state.get(key)
-        or (key in delta_state) != (key in event_state)
-    )
     return CaseResult(
         VERDICT_DIVERGENCE,
         crash_side="delta",
-        diff=diff,
-        diff_count=total,
+        diff=diff_states(delta_state, event_state, limit=diff_limit),
+        diff_count=len(differing_keys(delta_state, event_state)),
         delta_arm="divergence",
     )
 

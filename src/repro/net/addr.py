@@ -103,7 +103,7 @@ class Prefix:
     code is almost always a bug.
     """
 
-    __slots__ = ("_base", "_length")
+    __slots__ = ("_base", "_length", "_hash")
 
     def __init__(self, base: Union[int, str, Address], length: int = None):
         if isinstance(base, str) and length is None:
@@ -131,6 +131,10 @@ class Prefix:
             )
         self._base = base
         self._length = length
+        # Cached: prefixes key every RIB, session and capture dict.  The
+        # value is hash((base, length)), as before caching, so set
+        # iteration orders (and every digest built on them) are stable.
+        self._hash = hash((base, length))
 
     @staticmethod
     def _mask_for(length: int) -> int:
@@ -223,4 +227,4 @@ class Prefix:
         return (self._base, self._length) < (other._base, other._length)
 
     def __hash__(self) -> int:
-        return hash((self._base, self._length))
+        return self._hash

@@ -178,6 +178,23 @@ class PrefixTrie(Generic[V]):
         None when nothing covers the address (no default route installed).
         """
         value = Address(address).value
+        best = self._longest_match(value)
+        if best is None:
+            return None
+        length, found = best
+        mask = Prefix._mask_for(length)
+        return Prefix(value & mask, length), found
+
+    def lookup_value(self, address: Union[int, str, Address]) -> Optional[V]:
+        """Like :meth:`lookup` but returns only the value.
+
+        Builds no :class:`Prefix`: this is the per-hop forwarding lookup.
+        """
+        best = self._longest_match(Address(address).value)
+        return best[1] if best else None
+
+    def _longest_match(self, value: int) -> Optional[Tuple[int, V]]:
+        """(length, value) of the most specific entry covering *value*."""
         node = self._root
         best: Optional[Tuple[int, V]] = None
         if node.has_value:
@@ -190,16 +207,7 @@ class PrefixTrie(Generic[V]):
             node = child
             if node.has_value:
                 best = (depth + 1, node.value)  # type: ignore[assignment]
-        if best is None:
-            return None
-        length, found = best
-        mask = Prefix._mask_for(length)
-        return Prefix(value & mask, length), found
-
-    def lookup_value(self, address: Union[int, str, Address]) -> Optional[V]:
-        """Like :meth:`lookup` but returns only the value."""
-        hit = self.lookup(address)
-        return hit[1] if hit else None
+        return best
 
     def covering(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
         """All entries that cover *prefix*, most specific last."""

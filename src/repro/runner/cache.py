@@ -25,8 +25,10 @@ from repro.runner.stats import RunStats
 
 #: Bump to invalidate every existing cache entry (format change).
 #: 2: Route/Announcement became slots dataclasses — pickles from schema 1
-#: would fail to restore into the slotted classes.
-CACHE_SCHEMA_VERSION = 4  # engine grew analytic/delta attrs (pickle layout)
+#: would fail to restore into the slotted classes.  4: the engine grew
+#: analytic/delta attrs.  5: Prefix gained a cached-hash slot — a schema
+#: 4 Prefix would restore without it and fail on its first hash.
+CACHE_SCHEMA_VERSION = 5
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

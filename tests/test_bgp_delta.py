@@ -1,11 +1,11 @@
 """Incremental convergence (repro.bgp.delta): splice-back byte-identity.
 
 The contract under test: applying a change set through ``apply_delta``
-leaves the engine byte-identical (``canonical_blob`` of
-``capture_state``) to (a) a full event-engine replay of the same
-announcement story and (b) a cold ``solve`` + ``warm_start`` of the
-post-change origination set.  Seeds come from ``REPRO_DELTA_SEEDS``
-(comma-separated) so CI can sweep a matrix.
+leaves the engine identical (``canonical_blob`` of ``capture_state``,
+an exact comparison of int-keyed tuple maps) to (a) a full event-engine
+replay of the same announcement story and (b) a cold ``solve`` +
+``warm_start`` of the post-change origination set.  Seeds come from
+``REPRO_DELTA_SEEDS`` (comma-separated) so CI can sweep a matrix.
 
 Also pinned here: the gate's refusal vocabulary (with fallback
 accounting), the per-engine solution memo, reset-as-no-op semantics,

@@ -207,7 +207,7 @@ class TestPostPoisonSweep:
     def test_small(self, seed):
         self._sweep("small", seed)
 
-    @pytest.mark.parametrize("seed", (0, 3))
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
     def test_medium(self, seed):
         self._sweep("medium", seed)
 

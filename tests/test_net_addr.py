@@ -1,5 +1,7 @@
 """Unit tests for repro.net.addr."""
 
+import pickle
+
 import pytest
 
 from repro.errors import AddressError
@@ -102,3 +104,19 @@ class TestPrefix:
             Prefix("10.0.0.0/33")
         with pytest.raises(AddressError):
             Prefix("10.0.0.0")
+
+    def test_cached_hash_is_the_tuple_hash(self):
+        # The cached value must stay hash((base, length)): set and dict
+        # iteration orders, and every digest built on them, depend on it.
+        for text in ("0.0.0.0/0", "10.0.0.0/8", "192.168.4.0/22"):
+            prefix = Prefix(text)
+            assert hash(prefix) == hash((prefix.base, prefix.length))
+        assert hash(Prefix(0x0A000000, 8)) == hash((0x0A000000, 8))
+
+    def test_pickle_round_trip(self):
+        prefix = Prefix("10.20.0.0/16")
+        again = pickle.loads(pickle.dumps(prefix))
+        assert again == prefix
+        assert hash(again) == hash(prefix) == hash((prefix.base, 16))
+        assert str(again) == "10.20.0.0/16"
+        assert {again: 1}[prefix] == 1
